@@ -89,3 +89,16 @@ func TestAppServesAndShutsDownCleanly(t *testing.T) {
 	n.Close()
 	closed = true
 }
+
+// TestHTTPServerTimeouts: the server serveHTTP runs bounds slow request
+// headers and idle keep-alive connections, so a trickling client cannot pin
+// a connection indefinitely.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(":0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want the positive constant %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Fatalf("IdleTimeout = %v, want the positive constant %v", srv.IdleTimeout, idleTimeout)
+	}
+}

@@ -133,11 +133,32 @@ func main() {
 	}
 }
 
+// Connection timeouts of the HTTP server. A client that trickles its
+// request headers, or parks an idle keep-alive connection, would otherwise
+// pin a connection (and its goroutine) forever. Body reads are bounded per
+// endpoint by the handlers' size limits, so no whole-request ReadTimeout is
+// set: a large /v1/swap upload on a slow link stays legal.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the server serveHTTP runs, with the connection
+// timeouts above.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // serveHTTP runs handler on addr until SIGINT/SIGTERM, drains in-flight
 // handlers, then runs shutdown (trainer/engine teardown) — so a handler
 // mid-request never sees a closed engine.
 func serveHTTP(addr string, handler http.Handler, shutdown func()) error {
-	srv := &http.Server{Addr: addr, Handler: handler}
+	srv := newHTTPServer(addr, handler)
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	handlersDone := make(chan struct{})

@@ -121,6 +121,14 @@ func TestSetMemoryValidation(t *testing.T) {
 	if err := m.SetMemory(bad); err == nil {
 		t.Fatal("expected error for wrong feature count")
 	}
+	// A label outside [0, NumRPs) is a caller error, not a panic.
+	for _, rp := range []int{-1, ds.NumRPs} {
+		bad := append([]fingerprint.Sample(nil), ds.Train...)
+		bad[len(bad)/2].RP = rp
+		if err := m.SetMemory(bad); err == nil || m.MemorySize() != 0 {
+			t.Fatalf("label %d: SetMemory err %v, memory size %d; want an error and nothing installed", rp, err, m.MemorySize())
+		}
+	}
 	if err := m.SetMemory(ds.Train); err != nil {
 		t.Fatal(err)
 	}

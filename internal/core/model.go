@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 
@@ -18,7 +19,7 @@ type Model struct {
 
 	embedC *nn.Network        // curriculum-branch embedding (queries)
 	embedO *nn.Network        // original-branch embedding (keys), with dropout+noise
-	attn   *nn.CrossAttention // Q=H^C, K=H^O, V=RP one-hots
+	attn   *nn.CrossAttention // Q=H^C, K=H^O, V=RP labels
 	fc     *nn.Network        // final classifier over RP classes
 
 	// Direct handles into the networks above for the sharded trainer and the
@@ -28,17 +29,15 @@ type Model struct {
 	reluC                  *nn.ReLU
 
 	// Attention memory: the offline fingerprint database.
-	memX    *mat.Matrix // clean fingerprints (M×NumAPs)
-	memV    *mat.Matrix // one-hot RP labels (M×NumRPs)
-	memKeys *mat.Matrix // cached eval-mode EmbedO(memX), refreshed after training
-	memKpT  *mat.Matrix // cached key projection memKeys·Wk, transposed (dk×M) for the axpy-kernel scores GEMM
+	memX      *mat.Matrix // clean fingerprints (M×NumAPs)
+	memLabels []int       // RP label of each memory row, the attention's value operand
+	memKeys   *mat.Matrix // cached eval-mode EmbedO(memX), refreshed after training
+	memKpT    *mat.Matrix // cached key projection memKeys·Wk, transposed (dk×M) for the axpy-kernel scores GEMM
 
-	// Packed snapshots of memKpT and memV at Cfg.Precision, rebuilt by
-	// RefreshMemoryKeys. With these (plus the per-Param packed views) all
-	// three attention GEMMs of the serving path stream snapshot-precision
-	// panels; memV's one-hot labels quantize exactly at every precision.
+	// memKpTP is the packed snapshot of memKpT at Cfg.Precision, rebuilt by
+	// RefreshMemoryKeys. With it (plus the per-Param packed views) both
+	// attention GEMMs of the serving path stream snapshot-precision panels.
 	memKpTP *mat.Packed
-	memVP   *mat.Packed
 
 	// predPool recycles Predictor handles (and their workspaces) for the
 	// pooled Predict/PredictBatch entry points and batch shard workers.
@@ -91,8 +90,14 @@ func (m *Model) SetMemory(db []fingerprint.Sample) error {
 	if len(samples[0].RSS) != m.Cfg.NumAPs {
 		return fmt.Errorf("core: memory has %d features, model expects %d", len(samples[0].RSS), m.Cfg.NumAPs)
 	}
+	labels := fingerprint.Labels(samples)
+	for i, y := range labels {
+		if y < 0 || y >= m.Cfg.NumRPs {
+			return fmt.Errorf("core: memory sample %d has RP label %d outside [0,%d)", i, y, m.Cfg.NumRPs)
+		}
+	}
 	m.memX = fingerprint.X(samples)
-	m.memV = nn.OneHot(fingerprint.Labels(samples), m.Cfg.NumRPs)
+	m.memLabels = labels
 	m.RefreshMemoryKeys()
 	return nil
 }
@@ -115,10 +120,8 @@ func (m *Model) RefreshMemoryKeys() {
 	m.memKpT = m.attn.ProjectKeys(m.memKeys).Transpose()
 	if m.memKpTP == nil {
 		m.memKpTP = mat.PackPrec(m.memKpT, m.Cfg.Precision)
-		m.memVP = mat.PackPrec(m.memV, m.Cfg.Precision)
 	} else {
 		m.memKpTP.Repack(m.memKpT)
-		m.memVP.Repack(m.memV)
 	}
 }
 
@@ -150,19 +153,20 @@ func (m *Model) ParamBreakdown() (embed, attn, fc int) {
 func (m *Model) ModelSizeKB() float64 { return float64(m.NumParams()) * 4 / 1024 }
 
 // Footprint reports the serving precision and the resident byte size of the
-// packed snapshots the inference path actually streams per query: the three
-// weight-side GEMM operands (embedC.W, attn.Wq, fc.W) plus the packed memory
-// key projection and value matrix. Biases and training-only tensors (embedO,
-// Wk, gradients) are excluded — this is the per-query bandwidth footprint
-// that decides how many {floor, backend} models stay hot in cache, surfaced
-// through /v1/models via localizer.FootprintReporter.
+// snapshots the inference path actually streams per query: the three
+// weight-side GEMM operands (embedC.W, attn.Wq, fc.W), the packed memory key
+// projection, and the memory's label slice (the attention's value operand,
+// full-width ints at every precision). Biases and training-only tensors
+// (embedO, Wk, gradients) are excluded — this is the per-query bandwidth
+// footprint that decides how many {floor, backend} models stay hot in cache,
+// surfaced through /v1/models via localizer.FootprintReporter.
 func (m *Model) Footprint() (precision string, weightBytes int64) {
 	prec := m.Cfg.Precision
 	weightBytes = m.denseC.W.PackedPrec(prec).WeightBytes() +
 		m.attn.Wq.PackedPrec(prec).WeightBytes() +
 		m.denseF.W.PackedPrec(prec).WeightBytes()
 	if m.memKpTP != nil {
-		weightBytes += m.memKpTP.WeightBytes() + m.memVP.WeightBytes()
+		weightBytes += m.memKpTP.WeightBytes() + int64(len(m.memLabels))*bits.UintSize/8
 	}
 	return prec.String(), weightBytes
 }
@@ -174,7 +178,7 @@ func (m *Model) Logits(x *mat.Matrix) *mat.Matrix {
 		panic("core: model has no memory; call SetMemory first")
 	}
 	hc := m.embedC.Forward(x, false)
-	att := m.attn.Forward(hc, m.memKeys, m.memV)
+	att := m.attn.Forward(hc, m.memKeys, m.memLabels, m.Cfg.NumRPs)
 	return m.fc.Forward(att, false)
 }
 
@@ -340,7 +344,7 @@ func (m *Model) trainStep(xc, xo *mat.Matrix, labels []int) float64 {
 	// the entire database every step would prevent the attention from ever
 	// associating queries with reference points.
 	memKeys := m.embedO.Forward(m.memX, false)
-	att := m.attn.Forward(hc, memKeys, m.memV)
+	att := m.attn.Forward(hc, memKeys, m.memLabels, m.Cfg.NumRPs)
 	logits := m.fc.Forward(att, true)
 	ceLoss, g := nn.SoftmaxCrossEntropy(logits, labels)
 

@@ -18,8 +18,9 @@ import (
 // the model. Create one per goroutine (they are cheap: buffers grow lazily),
 // or use the model's pooled Predict/PredictBatch entry points. Weight or
 // memory updates (training steps, RefreshMemoryKeys, UnmarshalWeights) must
-// not run concurrently with prediction; serving layers serialise them — see
-// serve.Engine.Refresh.
+// not run concurrently with prediction. A served model is never mutated in
+// place: updates build a new model and localizer.Registry.Swap it in, and
+// in-flight batches finish on the old one.
 type Predictor struct {
 	m  *Model
 	ws *nn.Workspace
@@ -44,7 +45,7 @@ func (p *Predictor) logits(x *mat.Matrix) *mat.Matrix {
 	}
 	p.ws.Reset()
 	hc := m.embedC.InferInto(p.ws, x)
-	att := m.attn.InferPackedTInto(p.ws, hc, m.memKpTP, m.memVP)
+	att := m.attn.InferPackedTInto(p.ws, hc, m.memKpTP, m.memLabels, m.Cfg.NumRPs)
 	return m.fc.InferInto(p.ws, att)
 }
 

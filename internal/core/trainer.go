@@ -602,7 +602,7 @@ func (r *trainRun) runShard(sh *trainShard, xc, xo *mat.Matrix, labels []int, ha
 	for i := 0; i < n; i++ {
 		mat.SoftmaxRow(sh.s.Row(i), sh.s.Row(i))
 	}
-	mat.MulInto(sh.att, sh.s, m.memV)
+	nn.MixLabelsInto(sh.att, sh.s, m.memLabels)
 	mat.MulInto(sh.logits, sh.att, m.denseF.W.W)
 	sh.logits.AddRowVector(m.denseF.B.W.Data)
 
@@ -628,7 +628,7 @@ func (r *trainRun) runShard(sh *trainShard, xc, xo *mat.Matrix, labels []int, ha
 	mat.MulTInto(sh.gAtt, sh.gLogit, m.denseF.W.W)
 
 	// Attention backward (V constant).
-	mat.MulTInto(sh.ds, sh.gAtt, m.memV)
+	nn.GatherLabelsInto(sh.ds, sh.gAtt, m.memLabels)
 	nn.SoftmaxRowsBackward(sh.s, sh.ds)
 	sh.ds.ScaleInPlace(scale)
 	mat.MulInto(sh.dQp, sh.ds, r.kp)

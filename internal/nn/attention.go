@@ -38,6 +38,10 @@ func SoftmaxRowsBackward(s, ds *mat.Matrix) *mat.Matrix { return softmaxRowsBack
 // V holds the (constant) one-hot RP labels of that memory set. The output is
 // therefore a label-space mixture weighted by hyperspace similarity — a
 // differentiable soft-KNN over the fingerprint database.
+//
+// V is never materialised: every pass takes the memory's label slice and a
+// class count, and the value product S·V is the scatter-add MixLabelsInto
+// (its gradient dOut·Vᵀ the gather GatherLabelsInto).
 type CrossAttention struct {
 	Wq, Wk *Param
 	DK     int
@@ -46,7 +50,7 @@ type CrossAttention struct {
 	lastQ, lastK   *mat.Matrix // raw inputs (B×d, M×d)
 	lastQp, lastKp *mat.Matrix // projected (B×dk, M×dk)
 	lastS          *mat.Matrix // attention weights (B×M)
-	lastV          *mat.Matrix // value matrix (M×C), constant
+	lastLabels     []int       // memory labels (len M), constant
 }
 
 // NewCrossAttention creates query/key projections from embedding dimension d
@@ -62,138 +66,54 @@ func NewCrossAttention(name string, d, dk int, rng *rand.Rand) *CrossAttention {
 	return ca
 }
 
-// Forward computes softmax(q·Wq·(k·Wk)ᵀ/√dk)·v.
-// q is B×d (queries), k is M×d (memory keys), v is M×C (memory values).
-func (ca *CrossAttention) Forward(q, k, v *mat.Matrix) *mat.Matrix {
+// Forward computes softmax(q·Wq·(k·Wk)ᵀ/√dk)·V with V the one-hot encoding
+// of labels over classes columns. q is B×d (queries), k is M×d (memory
+// keys), labels has one RP class in [0, classes) per memory row.
+func (ca *CrossAttention) Forward(q, k *mat.Matrix, labels []int, classes int) *mat.Matrix {
 	if q.Cols != ca.Wq.W.Rows || k.Cols != ca.Wk.W.Rows {
 		panic(fmt.Sprintf("nn: CrossAttention dims q%dx%d k%dx%d vs W %dx%d",
 			q.Rows, q.Cols, k.Rows, k.Cols, ca.Wq.W.Rows, ca.Wq.W.Cols))
 	}
-	if k.Rows != v.Rows {
-		panic(fmt.Sprintf("nn: CrossAttention memory mismatch K rows %d vs V rows %d", k.Rows, v.Rows))
+	if k.Rows != len(labels) {
+		panic(fmt.Sprintf("nn: CrossAttention memory mismatch K rows %d vs %d labels", k.Rows, len(labels)))
 	}
-	ca.lastQ, ca.lastK, ca.lastV = q, k, v
+	ca.lastQ, ca.lastK, ca.lastLabels = q, k, labels
 	ca.lastQp = mat.Mul(q, ca.Wq.W)
 	ca.lastKp = mat.Mul(k, ca.Wk.W)
 	scores := mat.MulT(ca.lastQp, ca.lastKp)
 	scores.ScaleInPlace(1 / math.Sqrt(float64(ca.DK)))
 	ca.lastS = mat.Softmax(scores)
-	return mat.Mul(ca.lastS, v)
+	return MixLabelsInto(mat.New(q.Rows, classes), ca.lastS, labels)
 }
 
 // AttentionWeights returns the most recent softmax weights (B×M), useful for
 // interpretability and tests.
 func (ca *CrossAttention) AttentionWeights() *mat.Matrix { return ca.lastS }
 
-// Infer computes the same attention output as Forward in eval mode but
-// touches no caches, so it is safe to call concurrently (e.g. from the
-// row-sharded batch predictor). All temporaries come from the scratch pool.
-func (ca *CrossAttention) Infer(q, k, v *mat.Matrix) *mat.Matrix {
-	if k.Cols != ca.Wk.W.Rows {
-		panic(fmt.Sprintf("nn: CrossAttention dims k%dx%d vs W %dx%d",
-			k.Rows, k.Cols, ca.Wk.W.Rows, ca.Wk.W.Cols))
-	}
-	kp := mat.MulInto(mat.GetScratch(k.Rows, ca.DK), k, ca.Wk.W)
-	out := ca.InferProjected(q, kp, v)
-	mat.PutScratch(kp)
-	return out
-}
-
-// ProjectKeys returns k·Wk, the key projection of Infer, as a standalone
-// step. The memory keys of a deployed model are fixed between weight
-// updates, so callers evaluating many query batches against one memory
-// (core.Model.PredictBatch) project once and reuse the result with
-// InferProjected instead of re-projecting per batch shard.
+// ProjectKeys returns k·Wk, the key projection of the attention pass. The
+// memory keys of a deployed model are fixed between weight updates, so
+// core.Model.RefreshMemoryKeys projects once, transposes, and packs the
+// result for InferPackedTInto instead of re-projecting per query batch.
 func (ca *CrossAttention) ProjectKeys(k *mat.Matrix) *mat.Matrix {
 	return mat.Mul(k, ca.Wk.W)
 }
 
-// InferProjected is Infer with the key projection kp = ProjectKeys(k)
-// precomputed. Cache-free and safe for concurrent use.
-func (ca *CrossAttention) InferProjected(q, kp, v *mat.Matrix) *mat.Matrix {
-	if q.Cols != ca.Wq.W.Rows || kp.Cols != ca.DK {
-		panic(fmt.Sprintf("nn: CrossAttention dims q%dx%d kp%dx%d vs W %dx%d",
-			q.Rows, q.Cols, kp.Rows, kp.Cols, ca.Wq.W.Rows, ca.Wq.W.Cols))
-	}
-	if kp.Rows != v.Rows {
-		panic(fmt.Sprintf("nn: CrossAttention memory mismatch K rows %d vs V rows %d", kp.Rows, v.Rows))
-	}
-	qp := mat.MulInto(mat.GetScratch(q.Rows, ca.DK), q, ca.Wq.W)
-	scores := mat.MulTInto(mat.GetScratch(q.Rows, kp.Rows), qp, kp)
-	scores.ScaleInPlace(1 / math.Sqrt(float64(ca.DK)))
-	for i := 0; i < scores.Rows; i++ {
-		mat.SoftmaxRow(scores.Row(i), scores.Row(i))
-	}
-	out := mat.Mul(scores, v)
-	mat.PutScratch(qp)
-	mat.PutScratch(scores)
-	return out
-}
-
-// InferProjectedInto is InferProjected with every temporary drawn from ws
-// instead of the scratch pool, making the steady-state pass allocation-free.
-// The query projection multiplies against the lazily-packed Wq view. The
-// result is valid until ws is Reset; cache-free and safe for concurrent use
-// as long as each goroutine owns its workspace.
-func (ca *CrossAttention) InferProjectedInto(ws *Workspace, q, kp, v *mat.Matrix) *mat.Matrix {
-	if q.Cols != ca.Wq.W.Rows || kp.Cols != ca.DK {
-		panic(fmt.Sprintf("nn: CrossAttention dims q%dx%d kp%dx%d vs W %dx%d",
-			q.Rows, q.Cols, kp.Rows, kp.Cols, ca.Wq.W.Rows, ca.Wq.W.Cols))
-	}
-	if kp.Rows != v.Rows {
-		panic(fmt.Sprintf("nn: CrossAttention memory mismatch K rows %d vs V rows %d", kp.Rows, v.Rows))
-	}
-	qp := mat.MulPackedInto(ws.Take(q.Rows, ca.DK), q, ca.Wq.Packed())
-	scores := mat.MulTInto(ws.Take(q.Rows, kp.Rows), qp, kp)
-	return ca.attendInto(ws, scores, v)
-}
-
-// attendInto finishes an attention pass over precomputed raw scores: scale
-// by 1/√dk, softmax each row in place, and mix the value matrix. Shared by
-// the projected-key inference variants.
-func (ca *CrossAttention) attendInto(ws *Workspace, scores, v *mat.Matrix) *mat.Matrix {
-	scores.ScaleInPlace(1 / math.Sqrt(float64(ca.DK)))
-	for i := 0; i < scores.Rows; i++ {
-		mat.SoftmaxRow(scores.Row(i), scores.Row(i))
-	}
-	return mat.MulInto(ws.Take(scores.Rows, v.Cols), scores, v)
-}
-
-// InferProjectedTInto is InferProjectedInto with the key projection supplied
-// transposed: kpT = ProjectKeys(k)ᵀ, a dk×M row-major matrix. The scores
-// product Qp·Kpᵀ then runs through the row-streaming axpy kernel instead of
-// the dot-product kernel, which measures markedly faster at CALLOC memory
-// sizes (the kernel streams kpT's rows contiguously and keeps each score
-// tile L1-resident). Deployed models cache kpT once per weight refresh
-// (core.Model.RefreshMemoryKeys), so the transpose is off the hot path.
-func (ca *CrossAttention) InferProjectedTInto(ws *Workspace, q, kpT, v *mat.Matrix) *mat.Matrix {
-	if q.Cols != ca.Wq.W.Rows || kpT.Rows != ca.DK {
-		panic(fmt.Sprintf("nn: CrossAttention dims q%dx%d kpT%dx%d vs W %dx%d",
-			q.Rows, q.Cols, kpT.Rows, kpT.Cols, ca.Wq.W.Rows, ca.Wq.W.Cols))
-	}
-	if kpT.Cols != v.Rows {
-		panic(fmt.Sprintf("nn: CrossAttention memory mismatch KpT cols %d vs V rows %d", kpT.Cols, v.Rows))
-	}
-	qp := mat.MulPackedInto(ws.Take(q.Rows, ca.DK), q, ca.Wq.Packed())
-	scores := mat.MulInto(ws.Take(q.Rows, kpT.Cols), qp, kpT)
-	return ca.attendInto(ws, scores, v)
-}
-
-// InferPackedTInto is InferProjectedTInto with the memory operands supplied
-// as Packed snapshots — kpT = ProjectKeys(k)ᵀ and the value matrix v, both
-// packed at the caller's serving precision (core.Model.RefreshMemoryKeys
-// rebuilds them per weight update). With Wq drawn at the workspace precision
-// too, all three GEMMs of the attention pass (query projection, scores,
-// value mix) stream reduced-precision panels; the softmax and every
-// activation row stay float64. Cache-free and safe for concurrent use as
-// long as each goroutine owns its workspace.
-func (ca *CrossAttention) InferPackedTInto(ws *Workspace, q *mat.Matrix, kpT, v *mat.Packed) *mat.Matrix {
+// InferPackedTInto is the serving attention pass: Forward's output in eval
+// mode with the key projection precomputed and supplied transposed and
+// packed, kpT = ProjectKeys(k)ᵀ (dk×M) at the caller's serving precision
+// (core.Model.RefreshMemoryKeys rebuilds it per weight update). The query
+// projection and the scores product stream panels at the workspace
+// precision — the scores run through the row-streaming axpy kernel, which
+// keeps each score tile L1-resident at CALLOC memory sizes. The softmax,
+// the label mix, and every activation row stay float64. Cache-free and safe
+// for concurrent use as long as each goroutine owns its workspace.
+func (ca *CrossAttention) InferPackedTInto(ws *Workspace, q *mat.Matrix, kpT *mat.Packed, labels []int, classes int) *mat.Matrix {
 	if q.Cols != ca.Wq.W.Rows || kpT.Rows() != ca.DK {
 		panic(fmt.Sprintf("nn: CrossAttention dims q%dx%d kpT%dx%d vs W %dx%d",
 			q.Rows, q.Cols, kpT.Rows(), kpT.Cols(), ca.Wq.W.Rows, ca.Wq.W.Cols))
 	}
-	if kpT.Cols() != v.Rows() {
-		panic(fmt.Sprintf("nn: CrossAttention memory mismatch KpT cols %d vs V rows %d", kpT.Cols(), v.Rows()))
+	if kpT.Cols() != len(labels) {
+		panic(fmt.Sprintf("nn: CrossAttention memory mismatch KpT cols %d vs %d labels", kpT.Cols(), len(labels)))
 	}
 	qp := mat.MulPackedInto(ws.Take(q.Rows, ca.DK), q, ca.Wq.PackedPrec(ws.Precision()))
 	scores := mat.MulPackedInto(ws.Take(q.Rows, kpT.Cols()), qp, kpT)
@@ -201,14 +121,52 @@ func (ca *CrossAttention) InferPackedTInto(ws *Workspace, q *mat.Matrix, kpT, v 
 	for i := 0; i < scores.Rows; i++ {
 		mat.SoftmaxRow(scores.Row(i), scores.Row(i))
 	}
-	return mat.MulPackedInto(ws.Take(scores.Rows, v.Cols()), scores, v)
+	return MixLabelsInto(ws.Take(scores.Rows, classes), scores, labels)
+}
+
+// MixLabelsInto writes the attention value mix out = s·V into out and
+// returns it, where V is the one-hot matrix of labels over out.Cols classes.
+// Because V is one-hot the product is a scatter-add of each attention
+// weight into its label's column, out[b, labels[j]] += s[b, j]: O(B·M)
+// instead of a B×M×classes GEMM. s is B×M with M = len(labels); every label
+// must lie in [0, out.Cols).
+//
+//calloc:noalloc
+func MixLabelsInto(out, s *mat.Matrix, labels []int) *mat.Matrix {
+	c, m := out.Cols, s.Cols
+	for b := 0; b < s.Rows; b++ {
+		srow, orow := s.Data[b*m:b*m+len(labels)], out.Data[b*c:(b+1)*c]
+		for i := range orow {
+			orow[i] = 0
+		}
+		for j, y := range labels {
+			orow[y] += srow[j]
+		}
+	}
+	return out
+}
+
+// GatherLabelsInto writes the value-mix gradient ds = g·Vᵀ into ds and
+// returns it, with V the one-hot matrix of labels: ds[b, j] =
+// g[b, labels[j]]. g is B×classes and ds is B×M with M = len(labels).
+//
+//calloc:noalloc
+func GatherLabelsInto(ds, g *mat.Matrix, labels []int) *mat.Matrix {
+	c, m := g.Cols, ds.Cols
+	for b := 0; b < g.Rows; b++ {
+		grow, drow := g.Data[b*c:(b+1)*c], ds.Data[b*m:b*m+len(labels)]
+		for j, y := range labels {
+			drow[j] = grow[y]
+		}
+	}
+	return ds
 }
 
 // Backward takes dL/d(output) (B×C) and returns (dL/dq, dL/dk). Parameter
 // gradients accumulate into Wq.G and Wk.G. V is treated as constant.
 func (ca *CrossAttention) Backward(gradOut *mat.Matrix) (dq, dk *mat.Matrix) {
 	// dS = dOut·Vᵀ, turned into dZ in place by the softmax backward.
-	dZ := mat.MulTInto(mat.GetScratch(gradOut.Rows, ca.lastV.Rows), gradOut, ca.lastV)
+	dZ := GatherLabelsInto(mat.GetScratch(gradOut.Rows, len(ca.lastLabels)), gradOut, ca.lastLabels)
 	softmaxRowsBackward(ca.lastS, dZ)
 	dZ.ScaleInPlace(1 / math.Sqrt(float64(ca.DK)))
 	// Z = Qp·Kpᵀ ⇒ dQp = dZ·Kp, dKp = dZᵀ·Qp.

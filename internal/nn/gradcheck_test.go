@@ -134,16 +134,16 @@ func TestCrossAttentionGradients(t *testing.T) {
 	for i := range k.Data {
 		k.Data[i] = rng.NormFloat64()
 	}
-	v := OneHot([]int{0, 1, 2, 3, 0, 1}, classes)
+	memLabels := []int{0, 1, 2, 3, 0, 1}
 	labels := []int{0, 1, 2}
 
 	lossFn := func() float64 {
-		out := ca.Forward(q, k, v)
+		out := ca.Forward(q, k, memLabels, classes)
 		l, _ := SoftmaxCrossEntropy(out, labels)
 		return l
 	}
 
-	out := ca.Forward(q, k, v)
+	out := ca.Forward(q, k, memLabels, classes)
 	_, g := SoftmaxCrossEntropy(out, labels)
 	for _, p := range ca.Params() {
 		p.ZeroGrad()

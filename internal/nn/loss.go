@@ -67,15 +67,3 @@ func Accuracy(logits *mat.Matrix, labels []int) float64 {
 	}
 	return float64(correct) / float64(logits.Rows)
 }
-
-// OneHot encodes labels as an n×classes matrix of 0/1 rows.
-func OneHot(labels []int, classes int) *mat.Matrix {
-	out := mat.New(len(labels), classes)
-	for i, y := range labels {
-		if y < 0 || y >= classes {
-			panic(fmt.Sprintf("nn: OneHot label %d out of range [0,%d)", y, classes))
-		}
-		out.Set(i, y, 1)
-	}
-	return out
-}

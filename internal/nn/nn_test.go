@@ -164,6 +164,17 @@ func TestAccuracy(t *testing.T) {
 	}
 }
 
+// OneHot encodes labels as an n×classes matrix of 0/1 rows: the dense value
+// matrix V the attention's label mix stands in for, kept as the reference
+// the scatter-add and gather are checked against.
+func OneHot(labels []int, classes int) *mat.Matrix {
+	out := mat.New(len(labels), classes)
+	for i, y := range labels {
+		out.Set(i, y, 1)
+	}
+	return out
+}
+
 func TestOneHot(t *testing.T) {
 	oh := OneHot([]int{1, 0}, 3)
 	want := mat.FromRows([][]float64{{0, 1, 0}, {1, 0, 0}})
@@ -352,8 +363,7 @@ func TestCrossAttentionWeightsSumToOne(t *testing.T) {
 	ca := NewCrossAttention("a", 4, 3, rng)
 	q := randMat(rng, 2, 4)
 	k := randMat(rng, 5, 4)
-	v := OneHot([]int{0, 1, 2, 0, 1}, 3)
-	out := ca.Forward(q, k, v)
+	out := ca.Forward(q, k, []int{0, 1, 2, 0, 1}, 3)
 	// With one-hot values, each output row is a convex combination → sums to 1.
 	for i := 0; i < out.Rows; i++ {
 		var s float64
@@ -428,25 +438,64 @@ func TestInferMatchesEvalForward(t *testing.T) {
 	net.ZeroGrads()
 }
 
+// TestCrossAttentionInferMatchesForward: the serving pass InferPackedTInto
+// must reproduce Forward at every precision — to rounding at float64, and
+// within the quantization error of the packed Wq and key panels below it.
 func TestCrossAttentionInferMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	ca := NewCrossAttention("a", 8, 5, rng)
 	q := randMat(rng, 7, 8)
 	k := randMat(rng, 11, 8)
-	v := randMat(rng, 11, 3)
-	want := ca.Forward(q, k, v)
-	got := ca.Infer(q, k, v)
-	for i, w := range want.Data {
-		if got.Data[i] != w {
-			t.Fatalf("CrossAttention Infer diverges at %d: %g vs %g", i, got.Data[i], w)
+	labels := []int{2, 0, 1, 1, 2, 0, 0, 2, 1, 0, 2}
+	want := ca.Forward(q, k, labels, 3)
+	kpT := ca.ProjectKeys(k).Transpose()
+	for _, tc := range []struct {
+		prec mat.Precision
+		tol  float64
+	}{
+		{mat.PrecFloat64, 1e-12},
+		{mat.PrecFloat32, 1e-5},
+		{mat.PrecInt8, 5e-2},
+	} {
+		ws := NewWorkspace()
+		ws.SetPrecision(tc.prec)
+		got := ca.InferPackedTInto(ws, q, mat.PackPrec(kpT, tc.prec), labels, 3)
+		if got.Rows != want.Rows || got.Cols != want.Cols {
+			t.Fatalf("%s: shape %dx%d, want %dx%d", tc.prec, got.Rows, got.Cols, want.Rows, want.Cols)
+		}
+		for i, w := range want.Data {
+			if math.Abs(got.Data[i]-w) > tc.tol {
+				t.Fatalf("%s: InferPackedTInto diverges at %d: %g vs %g", tc.prec, i, got.Data[i], w)
+			}
 		}
 	}
-	// The precomputed-key path (used by core.Model.PredictBatch) must agree.
-	kp := ca.ProjectKeys(k)
-	got = ca.InferProjected(q, kp, v)
+}
+
+// TestMixLabelsMatchesOneHotProduct: the scatter-add value mix is the dense
+// product s·OneHot(labels) it replaces.
+func TestMixLabelsMatchesOneHotProduct(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	const classes = 5
+	labels := []int{4, 0, 0, 3, 1, 4, 4, 2, 0, 1, 3, 3, 0}
+	s := randMat(rng, 6, len(labels))
+	want := mat.Mul(s, OneHot(labels, classes))
+	out := mat.New(6, classes)
+	out.Data[0] = 99 // stale contents must be overwritten
+	closeEnough(t, MixLabelsInto(out, s, labels), want, "MixLabelsInto")
+}
+
+// TestGatherLabelsMatchesOneHotProduct: the gather gradient is exactly the
+// dense product g·OneHot(labels)ᵀ — every entry is one copied element.
+func TestGatherLabelsMatchesOneHotProduct(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	const classes = 5
+	labels := []int{4, 0, 0, 3, 1, 4, 4, 2, 0, 1, 3, 3, 0}
+	g := randMat(rng, 6, classes)
+	want := mat.MulT(g, OneHot(labels, classes))
+	got := GatherLabelsInto(mat.New(6, len(labels)), g, labels)
 	for i, w := range want.Data {
 		if got.Data[i] != w {
-			t.Fatalf("CrossAttention InferProjected diverges at %d: %g vs %g", i, got.Data[i], w)
+			t.Fatalf("GatherLabelsInto element %d = %g, want %g", i, got.Data[i], w)
 		}
 	}
 }

@@ -44,8 +44,8 @@ type packedView struct {
 
 // NoteUpdate marks the parameter's weights as changed, invalidating any
 // packed view. Safe to call concurrently, but must not race with readers of
-// W.Data (serving layers exclude weight updates around inference; see
-// serve.Engine.Refresh).
+// W.Data (serving layers never mutate a served model; they build a new one
+// and swap it in through localizer.Registry.Swap).
 func (p *Param) NoteUpdate() { p.version.Add(1) }
 
 // Packed returns the full-precision (float64) packed snapshot view of W,

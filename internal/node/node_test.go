@@ -3,7 +3,9 @@ package node_test
 import (
 	"bytes"
 	"encoding/base64"
+	"encoding/gob"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -581,5 +583,81 @@ func TestModelsReportPrecisionAndWeightBytes(t *testing.T) {
 	if ratio := float64(f64.WeightBytes) / float64(i8.WeightBytes); ratio < 4 {
 		t.Fatalf("int8 snapshots only %.2f× smaller than float64 (f64=%d, int8=%d), want ≥4×",
 			ratio, f64.WeightBytes, i8.WeightBytes)
+	}
+}
+
+// wireParam mirrors nn's gob wire form of one weight tensor (gob matches
+// struct fields by name), letting the test hand-craft corrupt blobs.
+type wireParam struct {
+	Name       string
+	Rows, Cols int
+	Data       []float64
+}
+
+// TestSwapRejectsCorruptWeights: a /v1/swap blob that decodes but carries a
+// short, non-finite, or mis-shaped tensor is refused with 400 — live or
+// staged — and the served version does not move.
+func TestSwapRejectsCorruptWeights(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	datasets := testFloors(t)[:1]
+	ds := datasets[0]
+	blob := untrainedWeights(t, ds)
+	n, err := node.New(datasets, node.Config{
+		Backends:       []string{"calloc"},
+		WeightBlobs:    [][]byte{blob},
+		Engine:         serve.Options{MaxBatch: 4, Workers: 1},
+		DisableTrainer: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	ts := httptest.NewServer(n.Handler())
+	defer ts.Close()
+	client := ts.Client()
+	key := localizer.Key{Building: n.Building(), Floor: 0, Backend: "calloc"}
+
+	corrupt := func(mutate func(sp []wireParam)) string {
+		var sp []wireParam
+		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&sp); err != nil {
+			t.Fatal(err)
+		}
+		mutate(sp)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(sp); err != nil {
+			t.Fatal(err)
+		}
+		return base64.StdEncoding.EncodeToString(buf.Bytes())
+	}
+	last := func(sp []wireParam) *wireParam { return &sp[len(sp)-1] }
+	bad := map[string]string{
+		"short":      corrupt(func(sp []wireParam) { last(sp).Data = last(sp).Data[:1] }),
+		"nan":        corrupt(func(sp []wireParam) { last(sp).Data[0] = math.NaN() }),
+		"inf":        corrupt(func(sp []wireParam) { sp[0].Data[0] = math.Inf(1) }),
+		"mis-shaped": corrupt(func(sp []wireParam) { last(sp).Rows, last(sp).Cols = last(sp).Cols+1, last(sp).Rows }),
+	}
+	before := liveVersion(t, client, ts.URL, key)
+	for name, weights := range bad {
+		for _, stage := range []bool{false, true} {
+			status, _ := postJSON(t, client, ts.URL+"/v1/swap", map[string]any{
+				"floor": 0, "stage": stage, "weights": weights,
+			})
+			if status != http.StatusBadRequest {
+				t.Fatalf("%s blob (stage=%v): status %d, want 400", name, stage, status)
+			}
+		}
+	}
+	if got := liveVersion(t, client, ts.URL, key); got != before {
+		t.Fatalf("served version moved %d → %d on rejected blobs", before, got)
+	}
+	if status, _ := postJSON(t, client, ts.URL+"/v1/ab/abort", map[string]any{"floor": 0}); status != http.StatusNotFound {
+		t.Fatalf("a rejected staged blob left a candidate behind (abort status %d)", status)
+	}
+	// The intact blob still swaps: the rejections were about content.
+	status, _ := postJSON(t, client, ts.URL+"/v1/swap", map[string]any{
+		"floor": 0, "weights": base64.StdEncoding.EncodeToString(blob),
+	})
+	if status != http.StatusOK || liveVersion(t, client, ts.URL, key) != before+1 {
+		t.Fatalf("intact blob: status %d, version %d, want 200 and %d", status, liveVersion(t, client, ts.URL, key), before+1)
 	}
 }

@@ -168,9 +168,9 @@ func localizeStatus(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, serve.ErrUnknownModel):
 		return http.StatusNotFound
-	case errors.Is(err, serve.ErrMisroute):
-		// A classifier fault, not a client addressing error: 5xx so
-		// monitoring sees it and clients may retry.
+	case errors.Is(err, serve.ErrMisroute), errors.Is(err, serve.ErrModelPanic):
+		// A model fault, not a client error: 5xx so monitoring sees it
+		// and clients may retry.
 		return http.StatusInternalServerError
 	case errors.Is(err, context.Canceled):
 		return statusClientClosedRequest

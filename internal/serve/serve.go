@@ -34,12 +34,14 @@
 // version earns real-traffic evidence before the promotion gate (see
 // internal/train) makes it the live version.
 //
-// Model updates come in two flavours (see DESIGN.md):
-//   - Hot-swap (preferred): build a NEW localizer and Registry.Swap it in.
-//     Lock-free for readers; in-flight batches finish on the old snapshot.
-//   - In-place mutation: Engine.Refresh(fn) holds all dispatch off while fn
-//     mutates weights/memory of a live localizer (the PR 2 mechanism,
-//     still required when mutating rather than replacing).
+// Models are updated by replacement only: build a NEW localizer and
+// Registry.Swap it in (see DESIGN.md). Swaps are lock-free for readers, and
+// in-flight batches finish on the snapshot they pinned. A served localizer
+// is never mutated in place.
+//
+// A localizer that panics fails its batch, not the process: the worker
+// recovers, answers every request of the window with ErrModelPanic, counts
+// the event in Stats.Panics, and goes on serving other lanes.
 package serve
 
 import (
@@ -69,6 +71,10 @@ var ErrUnknownModel = errors.New("serve: no localizer registered for key")
 // a classifier bug or drift, not a client addressing error. Counted in
 // Stats.Misroutes.
 var ErrMisroute = errors.New("serve: floor classifier predicted an unregistered floor")
+
+// ErrModelPanic is returned for every request of a batch whose model call
+// panicked. Counted in Stats.Panics.
+var ErrModelPanic = errors.New("serve: localizer panicked")
 
 // Options configures an Engine.
 type Options struct {
@@ -253,11 +259,6 @@ type Engine struct {
 	sendMu sync.RWMutex
 	closed bool
 
-	// modelMu serialises in-place model mutation: workers read-lock around
-	// each batch dispatch, Refresh write-locks. Hot-swaps through the
-	// registry do not need it.
-	modelMu sync.RWMutex
-
 	workers sync.WaitGroup
 	reqPool sync.Pool
 	started time.Time
@@ -270,6 +271,7 @@ type Engine struct {
 	completed atomic.Int64
 	latencyNs atomic.Int64
 	misroutes atomic.Int64
+	panics    atomic.Int64
 
 	// Shadow A/B aggregates across shadow lanes (per-key figures, including
 	// the sampling cadence, live on the lanes).
@@ -940,11 +942,27 @@ func (e *Engine) gather(l *lane, batch []*request, timer *time.Timer, draining b
 	return batch
 }
 
+// predict runs one model call on the worker goroutine. A panic in the
+// localizer would otherwise kill the process — net/http's recover covers
+// only handler goroutines — so it is recovered here, counted in
+// Stats.Panics, and returned as ErrModelPanic for the caller to fail the
+// batch with.
+func (e *Engine) predict(loc localizer.Localizer, dst []int, x *mat.Matrix) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			e.panics.Add(1)
+			err = fmt.Errorf("%w: %s: %v", ErrModelPanic, loc.Name(), p)
+		}
+	}()
+	loc.PredictInto(dst, x)
+	return nil
+}
+
 // dispatch assembles the window into one matrix, pins the lane's current
-// registry snapshot, runs the model under the read-lock, and delivers
-// per-request results stamped with the snapshot version. Batch requests get
-// their rows copied into their own out buffer before the result send (the
-// channel send is the happens-before edge the waiting caller reads across).
+// registry snapshot, runs the model, and delivers per-request results
+// stamped with the snapshot version. Batch requests get their rows copied
+// into their own out buffer before the result send (the channel send is the
+// happens-before edge the waiting caller reads across).
 func (e *Engine) dispatch(l *lane, batch []*request, rows int, dst []int, xbuf []float64, x *mat.Matrix) {
 	f := l.features
 	off := 0
@@ -976,9 +994,12 @@ func (e *Engine) dispatch(l *lane, batch []*request, rows int, dst []int, xbuf [
 		}
 		return
 	}
-	e.modelMu.RLock()
-	snap.Localizer.PredictInto(dst[:rows], x)
-	e.modelMu.RUnlock()
+	if err := e.predict(snap.Localizer, dst[:rows], x); err != nil {
+		for _, r := range batch {
+			r.result <- response{class: -1, err: err}
+		}
+		return
+	}
 
 	off = 0
 	for _, r := range batch {
@@ -1001,8 +1022,8 @@ func (e *Engine) dispatch(l *lane, batch []*request, rows int, dst []int, xbuf [
 // it pins the candidate (not the live snapshot), records agreement with the
 // live arm and candidate-arm latency, and answers nobody — shadow requests
 // have no waiting caller and are recycled here. A candidate that was aborted
-// (or restaged with a different shape) while the window sat queued just
-// drops the rows.
+// (or restaged with a different shape) while the window sat queued, or that
+// panics, just drops the rows.
 func (e *Engine) dispatchShadow(l *lane, batch []*request, rows int, dst []int, xbuf []float64, x *mat.Matrix) {
 	recycle := func() {
 		for _, r := range batch {
@@ -1027,9 +1048,11 @@ func (e *Engine) dispatchShadow(l *lane, batch []*request, rows int, dst []int, 
 	}
 	x.Rows, x.Cols, x.Data = n, f, xbuf[:n*f]
 
-	e.modelMu.RLock()
-	cand.Localizer.PredictInto(dst[:n], x)
-	e.modelMu.RUnlock()
+	if e.predict(cand.Localizer, dst[:n], x) != nil {
+		l.ab.dropped.Add(int64(len(batch)))
+		recycle()
+		return
+	}
 
 	now := time.Now()
 	for i, r := range batch {
@@ -1099,19 +1122,6 @@ func (e *Engine) ABStats(key localizer.Key) (ABStats, bool) {
 	return l.abStats(), true
 }
 
-// Refresh runs fn with exclusive dispatch access: it waits for in-flight
-// batches to finish and holds new ones off until fn returns. It is required
-// only for IN-PLACE mutation of a live localizer's state (weight updates,
-// RefreshMemoryKeys, weight deserialisation into a served model) — the
-// packed-view and memory-key caches are only safe to invalidate while no
-// batch is in flight. Replacing a model wholesale does not need Refresh:
-// build a new localizer and Registry.Swap it in.
-func (e *Engine) Refresh(fn func()) {
-	e.modelMu.Lock()
-	defer e.modelMu.Unlock()
-	fn()
-}
-
 // Close shuts the engine down gracefully. The ordering guarantee is
 // deterministic and two-sided:
 //
@@ -1168,6 +1178,9 @@ type Stats struct {
 	// Misroutes counts routed requests whose floor classifier predicted a
 	// floor with no registered localizer (failed with ErrMisroute).
 	Misroutes int64 `json:"misroutes"`
+	// Panics counts model calls (live or shadow) that panicked; each failed
+	// its whole batch with ErrModelPanic (shadow rows count as dropped).
+	Panics int64 `json:"panics"`
 	// ShadowBatches/ShadowRows count candidate-lane dispatches across all
 	// keys (excluded from Batches/Rows/AvgBatch, which describe live
 	// traffic); AB carries the per-key candidate counters.
@@ -1202,6 +1215,7 @@ func (e *Engine) Stats() Stats {
 		QueueFullWaits: e.fullWaits.Load(),
 		Lanes:          lanes,
 		Misroutes:      e.misroutes.Load(),
+		Panics:         e.panics.Load(),
 		ShadowBatches:  e.shadowBatches.Load(),
 		ShadowRows:     e.shadowRows.Load(),
 		AB:             ab,

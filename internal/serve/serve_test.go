@@ -704,72 +704,125 @@ func TestHotSwapUnderRoutedTraffic(t *testing.T) {
 	}
 }
 
-// TestConcurrentServeAndRefresh hammers the engine with concurrent clients
-// while weights and memory keys are mutated IN PLACE through Engine.Refresh
-// — the serving-layer contract for mutating (rather than swapping) a live
-// model. Run with -race (CI does): the read/write lock must fully order
-// packed-view invalidation against batch dispatch.
-func TestConcurrentServeAndRefresh(t *testing.T) {
-	m, x := testModel(t, 10, 4, 30)
+// TestWorkerPanicFailsBatch: a localizer that panics on the shared worker
+// goroutine fails its own batch with ErrModelPanic (counted), while the
+// worker survives to serve other keys, the faulty key's lane is released
+// for its next request, a panicking shadow candidate only drops its rows,
+// and Close still drains. One worker makes "survives" observable: if the
+// panic killed it, nothing after the first fault would be answered.
+func TestWorkerPanicFailsBatch(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	// Echoes feature 0, panicking on any negative row.
+	faulty := func(name string) localizer.Localizer {
+		return localizer.Wrap(name, 1, 8, nil, func(dst []int, x *mat.Matrix) []int {
+			for i := 0; i < x.Rows; i++ {
+				if x.Row(i)[0] < 0 {
+					panic("model fault")
+				}
+				dst[i] = int(x.Row(i)[0])
+			}
+			return dst
+		})
+	}
 	reg := localizer.NewRegistry()
-	key := localizer.Key{Building: 1, Floor: 0, Backend: "calloc"}
-	if _, err := reg.Register(key, localizer.FromCore("CALLOC", m)); err != nil {
+	bad := localizer.Key{Building: 1, Floor: 0, Backend: "faulty"}
+	good := localizer.Key{Building: 1, Floor: 1, Backend: "echo"}
+	if _, err := reg.Register(bad, faulty("faulty")); err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(reg, Options{MaxBatch: 8, MaxWait: 200 * time.Microsecond, Workers: 2})
+	if _, err := reg.Register(good, &scripted{name: "echo", features: 1, classes: 8}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(reg, Options{MaxBatch: 4, MaxWait: 200 * time.Microsecond, Workers: 1, ABFraction: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e.Close()
 
-	const clients = 4
-	const perClient = 100
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				res, err := e.Localize(nil, key, x.Row((c*perClient+i)%x.Rows))
-				if err != nil {
-					t.Errorf("client %d: %v", c, err)
-					return
-				}
-				if res.Class < 0 || res.Class >= 4 {
-					t.Errorf("client %d: out-of-range class %d", c, res.Class)
-					return
-				}
-			}
-		}(c)
+	if _, err := e.Localize(nil, bad, []float64{-1}); !errors.Is(err, ErrModelPanic) {
+		t.Fatalf("panicking model answered %v, want ErrModelPanic", err)
+	}
+	if got := e.Stats().Panics; got != 1 {
+		t.Fatalf("Stats.Panics = %d after one fault, want 1", got)
 	}
 
-	stop := make(chan struct{})
-	go func() {
-		rng := rand.New(rand.NewSource(77))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+	// Concurrent faults coalesce into shared windows: every request of
+	// every panicking batch gets the error, none hangs.
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := e.Localize(nil, bad, []float64{-1}); !errors.Is(err, ErrModelPanic) {
+				t.Errorf("concurrent fault answered %v, want ErrModelPanic", err)
 			}
-			e.Refresh(func() {
-				// An online weight update: perturb a parameter in place,
-				// note it, and rebuild the memory-key caches.
-				p := m.Params()[rng.Intn(len(m.Params()))]
-				for i := range p.W.Data {
-					p.W.Data[i] += rng.NormFloat64() * 1e-3
-				}
-				p.NoteUpdate()
-				m.RefreshMemoryKeys()
-			})
-			time.Sleep(time.Millisecond)
-		}
-	}()
-
+		}()
+	}
 	wg.Wait()
-	close(stop)
+	res, err := e.LocalizeBatch(nil, bad, [][]float64{{1}, {-1}, {2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if !errors.Is(r.Err, ErrModelPanic) {
+			t.Fatalf("batch row %d answered %v, want ErrModelPanic", i, r.Err)
+		}
+	}
+
+	// The worker lives on: other keys serve, and the faulty key's lane
+	// was released for its next (healthy) request.
+	for i := 0; i < 5; i++ {
+		r, err := e.Localize(nil, good, []float64{float64(i)})
+		if err != nil || r.Class != i {
+			t.Fatalf("healthy key after faults: class %d, err %v", r.Class, err)
+		}
+	}
+	if r, err := e.Localize(nil, bad, []float64{3}); err != nil || r.Class != 3 {
+		t.Fatalf("faulty key's healthy row: class %d, err %v", r.Class, err)
+	}
+
+	// A panicking shadow candidate drops its rows; live answers are
+	// untouched.
+	if _, err := reg.Stage(good, faulty("cand")); err != nil {
+		t.Fatal(err)
+	}
+	panicsBefore := e.Stats().Panics
+	for i := 0; i < 4; i++ {
+		if r, err := e.Route(nil, 1, "echo", []float64{-1}); err != nil || r.Class != -1 {
+			t.Fatalf("live arm beside a panicking candidate: class %d, err %v", r.Class, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st, _ := e.ABStats(good)
+		if st.Dropped > 0 && e.Stats().Panics > panicsBefore {
+			break
+		}
+		if !time.Now().Before(deadline) {
+			t.Fatalf("panicking candidate never counted: %+v, panics %d", st, e.Stats().Panics)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Close still drains after the faults: every request racing it is
+	// either answered or refused with ErrClosed, and the worker exits
+	// (leakcheck).
+	results := make(chan error, 8)
+	for i := 0; i < 8; i++ {
+		key, x := good, float64(i)
+		if i%2 == 1 {
+			key, x = bad, -1
+		}
+		go func() {
+			_, err := e.Localize(nil, key, []float64{x})
+			results <- err
+		}()
+	}
 	e.Close()
-	if st := e.Stats(); st.Rows != clients*perClient {
-		t.Fatalf("served %d rows, want %d (%+v)", st.Rows, clients*perClient, st)
+	for i := 0; i < 8; i++ {
+		if err := <-results; err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrModelPanic) {
+			t.Fatalf("request racing Close: %v", err)
+		}
 	}
 }
 
