@@ -95,7 +95,7 @@ func main() {
 	flag.StringVar(&f.precision, "precision", "float64", "CALLOC packed-weight serving precision: float64 (default), float32, or int8 (quantized snapshots; training stays float64)")
 	flag.StringVar(&f.addr, "addr", ":8080", "HTTP listen address")
 	flag.IntVar(&f.maxBatch, "max-batch", 32, "max coalesced requests per model call")
-	flag.DurationVar(&f.maxWait, "max-wait", 500*time.Microsecond, "max time the first request of a window waits (negative: dispatch immediately)")
+	flag.DurationVar(&f.maxWait, "max-wait", 500*time.Microsecond, "most the first request of a window waits for company; a window waits only when its lane's previous request came less than this before it (negative: never wait)")
 	flag.IntVar(&f.workers, "workers", 0, "concurrent batch dispatchers shared by all lanes (0 = min(2, GOMAXPROCS))")
 	flag.IntVar(&f.queueCap, "queue", 0, "per-lane pending-request bound (0 = 4×max-batch)")
 	flag.BoolVar(&f.noTrainer, "no-trainer", false, "disable the online fine-tune loop")
@@ -115,7 +115,7 @@ func main() {
 	flag.DurationVar(&f.probeInterval, "probe-interval", 2*time.Second, "router health-probe cadence (negative disables)")
 	flag.IntVar(&f.retries, "retries", 1, "router retry budget per proxied request on a failed shard")
 	flag.IntVar(&f.routerBatch, "router-batch", 0, "router-side coalescing: max concurrent /v1/localize proxies gathered into one upstream batch per shard (<= 1 disables)")
-	flag.DurationVar(&f.routerWait, "router-wait", 0, "router coalesce gather window (default 2ms when -router-batch > 1)")
+	flag.DurationVar(&f.routerWait, "router-wait", 0, "most a router coalesce window gathers; a request reaching a shard idle for at least this long is proxied at once (default 2ms when -router-batch > 1)")
 	flag.Parse()
 
 	if err := f.validate(); err != nil {

@@ -19,11 +19,14 @@ import (
 // amortises model calls across a micro-batch.
 //
 // The window closes when it holds CoalesceBatch requests or when CoalesceWait
-// elapses, whichever is first. A window that closes with a single request is
-// proxied as a plain /v1/localize — coalescing must never make an idle
-// router's requests worse than the passthrough hop. A shard that answers the
-// batch endpoint 404/405 (an older node build) flips noBatch and every later
-// request passes straight through.
+// elapses, whichever is first. A window waits only when company is arriving:
+// a request that opens a window at least CoalesceWait after the shard's
+// previous submit leaves at once, while the shard's first-ever window still
+// waits so a cold-start burst coalesces. A window that closes with a single
+// request is proxied as a plain /v1/localize — coalescing must never make an
+// idle router's requests worse than the passthrough hop. A shard that answers
+// the batch endpoint 404/405 (an older node build) flips noBatch and every
+// later request passes straight through.
 type coalescer struct {
 	r    *Router
 	name string // owning shard
@@ -31,7 +34,8 @@ type coalescer struct {
 	mu     sync.Mutex
 	window []*coalesceWaiter
 	gen    uint64      // bumped at every flush; lets a stale timer recognise itself
-	timer  *time.Timer // armed while the window is non-empty
+	timer  *time.Timer // armed while a waiting window is open
+	last   time.Time   // previous submit; zero until the first
 
 	// noBatch latches when the shard rejects /v1/localize/batch with
 	// 404/405: the fleet is mid-upgrade and this member predates the batch
@@ -81,19 +85,23 @@ func (r *Router) coalescerFor(name string) *coalescer {
 func (c *coalescer) submit(ctx context.Context, body []byte) (coalesceReply, error) {
 	w := &coalesceWaiter{body: body, done: make(chan coalesceReply, 1)}
 	c.mu.Lock()
+	now := time.Now()
+	idle := !c.last.IsZero() && now.Sub(c.last) >= c.r.opts.CoalesceWait
+	c.last = now
 	c.window = append(c.window, w)
-	if len(c.window) == 1 {
+	var batch []*coalesceWaiter
+	switch {
+	case len(c.window) >= c.r.opts.CoalesceBatch, len(c.window) == 1 && idle:
+		batch = c.takeWindow()
+	case len(c.window) == 1:
 		gen := c.gen
 		c.timer = time.AfterFunc(c.r.opts.CoalesceWait, func() { c.flushAfterWait(gen) })
 	}
-	var batch []*coalesceWaiter
-	if len(c.window) >= c.r.opts.CoalesceBatch {
-		batch = c.takeWindow()
-	}
 	c.mu.Unlock()
 	if batch != nil {
-		// The filling request dispatches the full window inline; everyone
-		// else (and this caller, below) just waits on their reply channel.
+		// The filling (or idle) request dispatches the window inline;
+		// everyone else (and this caller, below) just waits on their reply
+		// channel.
 		c.dispatch(batch)
 	}
 	select {

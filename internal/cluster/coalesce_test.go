@@ -237,6 +237,63 @@ func TestCoalesceSingleWindowPassthrough(t *testing.T) {
 	}
 }
 
+// TestCoalesceIdleRequestSkipsWindow: a lone request reaching a shard
+// coalescer that has been idle for at least CoalesceWait is proxied at once as
+// a plain /v1/localize, while concurrent bursts — the shard's first window,
+// and one right behind the lone request — still leave as one batch each.
+func TestCoalesceIdleRequestSkipsWindow(t *testing.T) {
+	shard := newBatchShard(t, "a")
+	const wait = 300 * time.Millisecond
+	r := newTestRouter(t, oneShardMap(t, shard.srv.URL), RouterOptions{
+		CoalesceBatch: 4, CoalesceWait: wait,
+	})
+	h := r.Handler()
+	burst := func(rss0 []int) {
+		t.Helper()
+		for i, rec := range coalesceLocalize(t, h, rss0) {
+			if rec.Code != http.StatusOK {
+				t.Fatalf("burst request %d: status %d: %s", i, rec.Code, rec.Body)
+			}
+		}
+	}
+
+	burst([]int{1, 2, 3, 4})
+	if s, b := shard.single.Load(), shard.batch.Load(); s != 0 || b != 1 {
+		t.Fatalf("cold-start burst: shard saw %d singles, %d batches — want one batch", s, b)
+	}
+
+	time.Sleep(wait + wait/4)
+	start := time.Now()
+	w := postLocalize(t, h, `{"rss":[42,5],"floor":0}`)
+	if elapsed := time.Since(start); elapsed >= wait/2 {
+		t.Fatalf("idle request took %v — it waited for a window (CoalesceWait %v)", elapsed, wait)
+	}
+	if w.Code != http.StatusOK {
+		t.Fatalf("idle request: status %d: %s", w.Code, w.Body)
+	}
+	var resp struct {
+		RP int `json:"rp"`
+	}
+	json.Unmarshal(w.Body.Bytes(), &resp)
+	if resp.RP != 42 {
+		t.Fatalf("idle request rp = %d, want 42", resp.RP)
+	}
+	if s, b := shard.single.Load(), shard.batch.Load(); s != 1 || b != 1 {
+		t.Fatalf("idle request: shard saw %d singles, %d batches — want one plain /v1/localize", s, b)
+	}
+
+	burst([]int{5, 6, 7, 8})
+	if s, b := shard.single.Load(), shard.batch.Load(); s != 1 || b != 2 {
+		t.Fatalf("burst after the idle request: shard saw %d singles, %d batches — want a second batch", s, b)
+	}
+	if sizes := shard.sizes(); len(sizes) != 2 || sizes[0] != 4 || sizes[1] != 4 {
+		t.Fatalf("batch sizes %v, want [4 4]", sizes)
+	}
+	if st := r.Stats(); st.Coalesced != 9 || st.CoalescedBatches != 2 || st.Proxied != 9 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
 // TestCoalesceNoBatchFallback: a shard that 404s the batch endpoint (an
 // older build) serves the first window as singles, latches passthrough, and
 // later requests skip the window entirely.

@@ -57,8 +57,11 @@ type RouterOptions struct {
 	// would otherwise tax every request CoalesceWait of gather latency for
 	// nothing.
 	CoalesceBatch int
-	// CoalesceWait is how long a non-full window gathers before flushing
-	// (mirrors serve.Options.MaxWait; default 2ms when coalescing is on).
+	// CoalesceWait is the most a non-full window gathers before flushing
+	// (mirrors serve.Options.MaxWait; default 2ms when coalescing is on). A
+	// window waits only when company is arriving: a request that reaches an
+	// idle shard coalescer — at least CoalesceWait after its previous
+	// request — is proxied at once.
 	CoalesceWait time.Duration
 
 	Logf func(format string, args ...any)

@@ -14,8 +14,10 @@ import (
 // flat object, numeric array, plain strings, nulls, unknown scalar fields
 // (routers forward bodies carrying "building") — and reports false on
 // anything else so the caller can fall back to json.Unmarshal; it never
-// fails a body the fallback would accept. q must be reset by the caller
-// before the fallback runs: a failed fast parse can leave partial fields.
+// fails a body the fallback would accept, and never accepts one the fallback
+// would reject or decode differently (FuzzParseLocalizeFast checks both
+// against encoding/json). q must be reset by the caller before the fallback
+// runs: a failed fast parse can leave partial fields.
 //
 //calloc:noalloc
 func parseLocalizeFast(b []byte, q *localizeReq) bool {
@@ -46,7 +48,9 @@ func parseLocalizeFast(b []byte, q *localizeReq) bool {
 				q.Backend = internBackend(s) //calloc:allow internBackend's unknown-name copy, re-attributed here by inlining
 			}
 		default:
-			ok = p.skipScalar()
+			// encoding/json matches field names case-insensitively, so a
+			// "Floor" or "RSS" key is a field, not an unknown to skip.
+			ok = !foldsToField(key) && p.skipScalar()
 		}
 		if !ok {
 			return false
@@ -76,6 +80,27 @@ func internBackend(s []byte) string {
 		}
 	}
 	return string(s) //calloc:allow unknown backend names are rare; one copy beats holding the request buffer
+}
+
+// foldsToField reports whether key names one of the request's fields when
+// ASCII case is ignored (str refuses non-ASCII keys, so ASCII folding is all
+// encoding/json's field matching can reach).
+//
+//calloc:noalloc
+func foldsToField(key []byte) bool {
+	for _, name := range [...]string{"rss", "floor", "backend"} {
+		if len(key) != len(name) {
+			continue
+		}
+		i := 0
+		for i < len(key) && key[i]|0x20 == name[i] { // |0x20 lowercases ASCII letters only
+			i++
+		}
+		if i == len(key) {
+			return true
+		}
+	}
+	return false
 }
 
 // fastParser is a cursor over one request body. All methods advance i past
@@ -114,8 +139,11 @@ func (p *fastParser) end() bool {
 	return p.i == len(p.b)
 }
 
-// str parses a JSON string with no escape sequences, returning the raw
-// bytes between the quotes. A backslash punts to the fallback parser.
+// str parses a JSON string of printable ASCII with no escape sequences,
+// returning the raw bytes between the quotes. A backslash, a control
+// character (which JSON forbids) or a non-ASCII byte (which encoding/json
+// would validate as UTF-8 and fold when matching keys) punts to the fallback
+// parser.
 //
 //calloc:noalloc
 func (p *fastParser) str() ([]byte, bool) {
@@ -124,12 +152,12 @@ func (p *fastParser) str() ([]byte, bool) {
 	}
 	start := p.i
 	for p.i < len(p.b) {
-		switch p.b[p.i] {
-		case '"':
+		switch c := p.b[p.i]; {
+		case c == '"':
 			s := p.b[start:p.i]
 			p.i++
 			return s, true
-		case '\\':
+		case c == '\\', c < 0x20, c >= 0x80:
 			return nil, false
 		}
 		p.i++
@@ -153,29 +181,43 @@ func (p *fastParser) key() ([]byte, bool) {
 	return k, true
 }
 
-// number consumes one numeric token and returns its value. The token bytes
-// go through strconv.ParseFloat via a non-escaping string conversion, which
-// the compiler keeps off the heap for short tokens.
+// number consumes one JSON number token, -?(0|[1-9][0-9]*)(.[0-9]+)?
+// ([eE][+-]?[0-9]+)?, and returns its value. Forms strconv.ParseFloat takes
+// but JSON does not (a leading +, leading zeros, "1." or ".5") are refused.
+// The token bytes go through strconv.ParseFloat via a non-escaping string
+// conversion, which the compiler keeps off the heap for short tokens.
 //
 //calloc:noalloc
 func (p *fastParser) number() (float64, bool) {
-	if p.i < len(p.b) && p.b[p.i] == '+' {
-		return 0, false // ParseFloat allows a leading +, JSON does not
-	}
 	start := p.i
-	for p.i < len(p.b) {
-		switch c := p.b[p.i]; {
-		case c >= '0' && c <= '9', c == '-', c == '+', c == '.', c == 'e', c == 'E':
-			p.i++
-			continue
-		}
-		break
-	}
-	if p.i == start {
+	p.eat('-')
+	if !p.eat('0') && !p.digits() {
 		return 0, false
+	}
+	if p.eat('.') && !p.digits() {
+		return 0, false
+	}
+	if p.eat('e') || p.eat('E') {
+		if !p.eat('+') {
+			p.eat('-')
+		}
+		if !p.digits() {
+			return 0, false
+		}
 	}
 	v, err := strconv.ParseFloat(string(p.b[start:p.i]), 64) //calloc:allow the compiler elides this non-escaping conversion (escapecheck-verified)
 	return v, err == nil
+}
+
+// digits consumes one or more decimal digits.
+//
+//calloc:noalloc
+func (p *fastParser) digits() bool {
+	start := p.i
+	for p.i < len(p.b) && p.b[p.i] >= '0' && p.b[p.i] <= '9' {
+		p.i++
+	}
+	return p.i > start
 }
 
 // floats parses `[n, n, ...]` appending into dst.
@@ -204,8 +246,8 @@ func (p *fastParser) floats(dst []float64) ([]float64, bool) {
 	}
 }
 
-// optInt parses an integer or null into o (json.Unmarshal leaves o alone on
-// null via OptInt.UnmarshalJSON; so does this).
+// optInt parses an integer or null into o; null clears o, as
+// OptInt.UnmarshalJSON does.
 //
 //calloc:noalloc
 func (p *fastParser) optInt(o *wire.OptInt) bool {
@@ -213,21 +255,14 @@ func (p *fastParser) optInt(o *wire.OptInt) bool {
 		*o = wire.OptInt{}
 		return true
 	}
-	neg := p.eat('-')
 	start := p.i
-	v := 0
-	for p.i < len(p.b) && p.b[p.i] >= '0' && p.b[p.i] <= '9' {
-		v = v*10 + int(p.b[p.i]-'0')
-		if v < 0 {
-			return false // overflow
-		}
-		p.i++
-	}
-	if p.i == start {
+	p.eat('-')
+	if !p.eat('0') && !p.digits() { // JSON's -?(0|[1-9][0-9]*): a digit after a 0 fails the caller's delimiter check
 		return false
 	}
-	if neg {
-		v = -v
+	v, err := strconv.Atoi(string(p.b[start:p.i])) //calloc:allow the compiler elides this non-escaping conversion (escapecheck-verified)
+	if err != nil {
+		return false // overflows int
 	}
 	*o = wire.OptInt{Set: true, V: v}
 	return true

@@ -30,11 +30,19 @@ func TestParseLocalizeFastMatchesJSON(t *testing.T) {
 		{"unknown scalar fields", `{"building":3,"rss":[-1],"tag":"x","ok":true,"nada":null,"f":false}`, true},
 		{"duplicate rss last wins", `{"rss":[-1,-2],"rss":[-9]}`, true},
 		{"duplicate floor last wins", `{"floor":1,"floor":2,"rss":[-1]}`, true},
+		{"min int floor", `{"rss":[-1],"floor":-9223372036854775808}`, true},
 		// Punts: the fallback decoder must handle these.
 		{"escaped backend", `{"rss":[-1],"backend":"k\u006en"}`, false},
 		{"unknown object field", `{"rss":[-1],"meta":{"a":1}}`, false},
 		{"unknown array field", `{"rss":[-1],"tags":["a"]}`, false},
 		{"huge floor overflows int", `{"rss":[-1],"floor":99999999999999999999}`, false},
+		{"floor wraps int", `{"rss":[-1],"floor":20000000000000000000}`, false},
+		{"leading zero", `{"rss":[00]}`, false},
+		{"bare fraction", `{"rss":[1.]}`, false},
+		{"leading zero floor", `{"rss":[-1],"floor":01}`, false},
+		{"case-folded field", `{"rss":[-1],"FLOOR":3}`, false},
+		{"control character", "{\"rss\":[-1],\"tag\":\"a\x01\"}", false},
+		{"non-ASCII backend", "{\"rss\":[-1],\"backend\":\"kn\xffn\"}", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,4 +106,33 @@ func TestInternBackend(t *testing.T) {
 	if got := internBackend([]byte("svm")); got != "svm" {
 		t.Fatalf("internBackend(svm) = %q", got)
 	}
+}
+
+// FuzzParseLocalizeFast is a differential against encoding/json: whenever
+// the fast parser accepts a body, json.Unmarshal must accept it too and
+// decode the same rss (bit for bit), floor and backend. Punting is always
+// allowed — the handler then falls back to json.Unmarshal. The committed seed
+// corpus (testdata/fuzz) holds TestParseLocalizeFastMatchesJSON's bodies.
+func FuzzParseLocalizeFast(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var fast, slow localizeReq
+		fast.reset()
+		if !parseLocalizeFast(body, &fast) {
+			return
+		}
+		if err := json.Unmarshal(body, &slow); err != nil {
+			t.Fatalf("fast parser accepted %q; json.Unmarshal rejects it: %v", body, err)
+		}
+		if len(fast.RSS) != len(slow.RSS) {
+			t.Fatalf("%q: rss length %d vs json %d", body, len(fast.RSS), len(slow.RSS))
+		}
+		for i := range fast.RSS {
+			if math.Float64bits(fast.RSS[i]) != math.Float64bits(slow.RSS[i]) {
+				t.Fatalf("%q: rss[%d] = %v vs json %v", body, i, fast.RSS[i], slow.RSS[i])
+			}
+		}
+		if fast.Backend != slow.Backend || fast.Floor != slow.Floor {
+			t.Fatalf("%q: fast {%q %+v} vs json {%q %+v}", body, fast.Backend, fast.Floor, slow.Backend, slow.Floor)
+		}
+	})
 }

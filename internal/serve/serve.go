@@ -9,9 +9,12 @@
 // and attention-memory working set from cache for one query's worth of
 // arithmetic. Batching amortises that traffic across every query in the
 // window, so coalescing B concurrent requests into one batched call costs
-// far less than B single-row calls. The engine batches by time and size:
-// the first request in a window waits at most MaxWait for company, a full
-// window of MaxBatch dispatches immediately.
+// far less than B single-row calls. The engine batches by time and size, and
+// waits only for company that is actually arriving: a window's first request
+// waits at most MaxWait when it arrived within MaxWait of its lane's previous
+// request (or is the lane's first ever, so a cold-start burst coalesces);
+// after an idle gap it dispatches at once with whatever is already queued. A
+// full window of MaxBatch dispatches immediately.
 //
 // Every registered localizer gets its own micro-batch lane (a bounded queue
 // that only ever coalesces requests for that localizer), and a shared pool
@@ -81,8 +84,11 @@ type Options struct {
 	// MaxBatch caps how many requests one model call coalesces (default 32).
 	MaxBatch int
 	// MaxWait bounds how long the first request of a window waits for the
-	// window to fill. 0 selects the default 500µs; negative dispatches
-	// immediately with whatever is already queued (no timer).
+	// window to fill — the most a window waits, not the least. A window
+	// waits only when its first request arrived less than MaxWait after the
+	// lane's previous request, or is the lane's first ever; after an idle
+	// gap it dispatches at once with whatever is already queued. 0 selects
+	// the default 500µs; negative never waits.
 	MaxWait time.Duration
 	// Workers is the number of concurrent batch dispatchers shared by every
 	// lane (default min(2, GOMAXPROCS)). More workers overlap model calls
@@ -151,6 +157,7 @@ type request struct {
 	rn        int       // rows carried by this request
 	out       []int     // batch only: per-row classes, written by the worker before the result send
 	enq       time.Time
+	gap       time.Duration // since the lane's previous arrival (0 for its first); stamped before the channel send
 	liveClass int
 	result    chan response // buffered (cap 1) so an abandoned caller never blocks a worker
 }
@@ -228,6 +235,11 @@ type lane struct {
 	// actually coalesce instead of fragmenting across workers).
 	pending   atomic.Int64
 	scheduled atomic.Bool
+
+	// lastArrival is the engine-clock time (1 + ns since Engine.started) of
+	// the lane's latest hand-off; 0 until the first. stampGap swaps it so
+	// gather can tell whether company is arriving.
+	lastArrival atomic.Int64
 }
 
 // Engine coalesces concurrent localization requests into batched model
@@ -272,6 +284,7 @@ type Engine struct {
 	latencyNs atomic.Int64
 	misroutes atomic.Int64
 	panics    atomic.Int64
+	timed     atomic.Int64 // windows that armed the MaxWait timer
 
 	// Shadow A/B aggregates across shadow lanes (per-key figures, including
 	// the sampling cadence, live on the lanes).
@@ -391,6 +404,7 @@ func (e *Engine) enqueue(ctx context.Context, l *lane, r *request, rows int64) e
 		e.reqPool.Put(r)
 		return ErrClosed
 	}
+	e.stampGap(l, r)
 	select {
 	case l.reqs <- r:
 	default:
@@ -732,6 +746,7 @@ func (e *Engine) shadow(l *lane, rss []float64, liveClass int, liveLatency time.
 		l.ab.dropped.Add(1)
 		return
 	}
+	e.stampGap(l, r)
 	select {
 	case l.reqs <- r:
 		l.pending.Add(1)
@@ -799,6 +814,22 @@ func (e *Engine) shadowLane(key localizer.Key) (*lane, error) {
 	}
 	e.shadowLanes[key] = l
 	return l, nil
+}
+
+// stampGap records r's arrival on l and stamps r with the gap since the
+// lane's previous arrival, read off the engine's monotonic clock (r.enq). The
+// lane's first-ever request gets 0, so a cold-start burst still coalesces.
+// Concurrent senders can swap out of clock order; that reads as a zero gap,
+// which is right — company is arriving.
+//
+//calloc:noalloc
+func (e *Engine) stampGap(l *lane, r *request) {
+	now := int64(r.enq.Sub(e.started)) + 1
+	prev := l.lastArrival.Swap(now)
+	r.gap = 0
+	if prev != 0 && now > prev {
+		r.gap = time.Duration(now - prev)
+	}
 }
 
 // schedule puts l on the run queue unless it is already queued or held by a
@@ -888,12 +919,16 @@ func (e *Engine) run() {
 
 // gather collects one batching window from l, counting ROWS (a pre-formed
 // batch request contributes all its rows at once, so a full batch skips the
-// MaxWait timer entirely). The first receive must not block: a worker can
-// consume a request from the lane channel before the sender's pending
-// increment lands, in which case the sender's subsequent schedule re-queues
-// an already-drained lane — such a spurious pop returns an empty batch and
-// the caller just releases the lane. While draining, the window never waits —
-// Close should not pay MaxWait per residual batch.
+// MaxWait timer entirely). The window arms the MaxWait timer only when
+// company is arriving: its first request came less than MaxWait after the
+// lane's previous one (or is the lane's first ever). Otherwise — an idle
+// lane, a negative MaxWait, or a draining engine (Close should not pay
+// MaxWait per residual batch) — it takes whatever is already queued and
+// dispatches at once. The first receive must not block: a worker can consume
+// a request from the lane channel before the sender's pending increment
+// lands, in which case the sender's subsequent schedule re-queues an
+// already-drained lane — such a spurious pop returns an empty batch and the
+// caller just releases the lane.
 //
 //calloc:noalloc
 func (e *Engine) gather(l *lane, batch []*request, timer *time.Timer, draining bool) []*request {
@@ -907,7 +942,8 @@ func (e *Engine) gather(l *lane, batch []*request, timer *time.Timer, draining b
 		return batch
 	}
 	switch {
-	case rows < maxB && e.opts.MaxWait > 0 && !draining:
+	case rows < maxB && batch[0].gap < e.opts.MaxWait && !draining:
+		e.timed.Add(1)
 		timer.Reset(e.opts.MaxWait)
 	gather:
 		for rows < maxB {
@@ -926,7 +962,7 @@ func (e *Engine) gather(l *lane, batch []*request, timer *time.Timer, draining b
 			}
 		}
 	case rows < maxB:
-		// Negative MaxWait (or draining): dispatch immediately with
+		// No company arriving (or draining): dispatch immediately with
 		// whatever is already queued.
 	greedy:
 		for rows < maxB {
@@ -1181,6 +1217,10 @@ type Stats struct {
 	// Panics counts model calls (live or shadow) that panicked; each failed
 	// its whole batch with ErrModelPanic (shadow rows count as dropped).
 	Panics int64 `json:"panics"`
+	// TimedWindows counts gather windows (live or shadow) that armed the
+	// MaxWait timer because company was arriving; every other window
+	// dispatched with whatever was already queued.
+	TimedWindows int64 `json:"timed_windows"`
 	// ShadowBatches/ShadowRows count candidate-lane dispatches across all
 	// keys (excluded from Batches/Rows/AvgBatch, which describe live
 	// traffic); AB carries the per-key candidate counters.
@@ -1216,6 +1256,7 @@ func (e *Engine) Stats() Stats {
 		Lanes:          lanes,
 		Misroutes:      e.misroutes.Load(),
 		Panics:         e.panics.Load(),
+		TimedWindows:   e.timed.Load(),
 		ShadowBatches:  e.shadowBatches.Load(),
 		ShadowRows:     e.shadowRows.Load(),
 		AB:             ab,

@@ -512,6 +512,107 @@ func TestImmediateDispatch(t *testing.T) {
 	}
 }
 
+// TestTimedWindowsSpacedCaller: a sequential caller spaced wider than
+// MaxWait has no company arriving, so only the lane's first-ever window arms
+// the timer and every later request dispatches at once.
+func TestTimedWindowsSpacedCaller(t *testing.T) {
+	s := &scripted{name: "echo", features: 1, classes: 8}
+	reg, key := reg1(s)
+	const wait = time.Millisecond
+	e, err := New(reg, Options{MaxBatch: 8, MaxWait: wait, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < 5; i++ {
+		if i > 0 {
+			time.Sleep(2 * wait)
+		}
+		if res, err := e.Localize(nil, key, []float64{float64(i)}); err != nil || res.Class != i {
+			t.Fatalf("Localize %d = (%+v, %v)", i, res, err)
+		}
+	}
+	if got := e.Stats().TimedWindows; got != 1 {
+		t.Fatalf("TimedWindows = %d, want 1 (only the lane's first window)", got)
+	}
+}
+
+// TestTimedWindowsFirstWindowWaits: a lane's first-ever window has no gap to
+// judge by and still waits, so a request arriving well inside MaxWait joins
+// it — on each lane separately.
+func TestTimedWindowsFirstWindowWaits(t *testing.T) {
+	a := &scripted{name: "a", features: 1, classes: 64}
+	b := &scripted{name: "b", features: 1, classes: 64}
+	reg := localizer.NewRegistry()
+	keyA := localizer.Key{Building: 1, Floor: 0, Backend: "a"}
+	keyB := localizer.Key{Building: 1, Floor: 0, Backend: "b"}
+	for key, s := range map[localizer.Key]*scripted{keyA: a, keyB: b} {
+		if _, err := reg.Register(key, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e, err := New(reg, Options{MaxBatch: 2, MaxWait: time.Minute, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	for _, key := range []localizer.Key{keyA, keyB} {
+		var wg sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if res, err := e.Localize(nil, key, []float64{float64(i)}); err != nil || res.Class != i {
+					t.Errorf("%s Localize %d = (%+v, %v)", key, i, res, err)
+				}
+			}(i)
+			time.Sleep(5 * time.Millisecond) // the second request arrives after the window opened
+		}
+		wg.Wait()
+	}
+	for name, s := range map[string]*scripted{"a": a, "b": b} {
+		if sizes := s.sizes(); len(sizes) != 1 || sizes[0] != 2 {
+			t.Fatalf("lane %s: first window dispatched %v, want one batch of 2", name, sizes)
+		}
+	}
+	if got := e.Stats().TimedWindows; got != 2 {
+		t.Fatalf("TimedWindows = %d, want 2 (each lane's first window)", got)
+	}
+}
+
+// TestTimedWindowsNeverWithNegativeMaxWait: a negative MaxWait is below
+// every arrival gap, so no window — first, concurrent or sequential — ever
+// arms the timer.
+func TestTimedWindowsNeverWithNegativeMaxWait(t *testing.T) {
+	s := &scripted{name: "echo", features: 1, classes: 64}
+	reg, key := reg1(s)
+	e, err := New(reg, Options{MaxBatch: 8, MaxWait: -1, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < 32; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if res, err := e.Localize(nil, key, []float64{float64(i)}); err != nil || res.Class != i {
+				t.Errorf("Localize %d = (%+v, %v)", i, res, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < 4; i++ {
+		if _, err := e.Localize(nil, key, []float64{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e.Stats(); st.TimedWindows != 0 || st.Rows != 36 {
+		t.Fatalf("TimedWindows = %d over %d rows, want 0", st.TimedWindows, st.Rows)
+	}
+}
+
 func TestEngineValidation(t *testing.T) {
 	if _, err := New(nil, Options{}); err == nil {
 		t.Fatal("nil registry accepted")

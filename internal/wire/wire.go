@@ -16,6 +16,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"strconv"
 )
 
 // OptInt is an optional JSON integer field that decodes without allocating —
@@ -36,28 +37,11 @@ func (o *OptInt) UnmarshalJSON(b []byte) error {
 		*o = OptInt{}
 		return nil
 	}
-	neg := false
-	i := 0
-	if i < len(b) && (b[i] == '-' || b[i] == '+') {
-		neg = b[i] == '-'
-		i++
-	}
-	if i == len(b) {
-		return errors.New("wire: empty integer") //calloc:allow malformed-input error path, off the hot path
-	}
-	v := 0
-	for ; i < len(b); i++ {
-		c := b[i]
-		if c < '0' || c > '9' {
-			return errors.New("wire: not an integer: " + string(b)) //calloc:allow malformed-input error path, off the hot path
-		}
-		v = v*10 + int(c-'0')
-		if v < 0 {
-			return errors.New("wire: integer overflow: " + string(b)) //calloc:allow malformed-input error path, off the hot path
-		}
-	}
-	if neg {
-		v = -v
+	// encoding/json has already checked b is a JSON number; Atoi refuses
+	// fractions, exponents and values that overflow int.
+	v, err := strconv.Atoi(string(b)) //calloc:allow the compiler elides this non-escaping conversion (escapecheck-verified)
+	if err != nil {
+		return errors.New("wire: not an int: " + string(b)) //calloc:allow malformed-input error path, off the hot path
 	}
 	*o = OptInt{Set: true, V: v}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -27,6 +28,8 @@ func TestOptInt(t *testing.T) {
 		{`{"floor": 1.5}`, OptInt{}, true},
 		{`{"floor": "1"}`, OptInt{}, true},
 		{`{"floor": 9999999999999999999999}`, OptInt{}, true},
+		{`{"floor": 20000000000000000000}`, OptInt{}, true}, // 10×v wraps back to positive
+		{`{"floor": -9223372036854775808}`, OptInt{Set: true, V: math.MinInt64}, false},
 	} {
 		var p payload
 		err := json.Unmarshal([]byte(tc.in), &p)
